@@ -89,7 +89,9 @@ namespace {
 
 usage:
   qsimec check A.{qasm,real} B.{qasm,real} [options]
-      --sims R              number of random stimuli (default 10; 0 = skip)
+      --sims R              number of random stimuli (default 10; 0 = skip
+                            the simulations, and the stabilizer tier's
+                            random runs)
       --stimuli KIND        basis | product | stabilizer (default basis)
       --timeout SECONDS     budget of the complete check (default 60; 0 = none)
       --strategy NAME       naive | proportional | lookahead (default proportional)
@@ -101,7 +103,9 @@ usage:
                             the loser is cancelled
       --sim-only            skip the complete check
       --strict-phase        do not treat global phase as equivalent
-      --rewriting           try the syntactic rewriting checker first
+      --rewriting           try the syntactic rewriting checker just before
+                            the complete check (after the simulations;
+                            before the race with --race)
       --no-prescreen        skip the static prescreen and tier routing; every
                             pair takes the general simulation + DD path
       --no-attr             disable the per-gate cost attribution profiler
@@ -408,7 +412,6 @@ int parseFlowFlags(ArgCursor& args, ec::FlowConfiguration& config) {
   config.simulation.seed = std::stoull(seedStr);
   config.simulation.ignoreGlobalPhase = !strictPhase;
   config.complete.timeoutSeconds = std::stod(timeoutStr);
-  config.skipSimulation = config.simulation.maxSimulations == 0;
   config.skipComplete = simOnly;
   config.tryRewriting = rewriting;
   config.mode = race ? ec::FlowMode::Race : ec::FlowMode::Staged;

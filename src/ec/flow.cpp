@@ -14,12 +14,33 @@ namespace qsimec::ec {
 
 namespace {
 
-/// Roll the per-stage fields of a finished FlowResult (plus the DD profiles
-/// of the stages that ran) into FlowResult::metrics. Runs on every exit
-/// path, so early-out counterexamples still report their simulation cost.
-void buildMetrics(FlowResult& result, bool simulationRan,
-                  const dd::PackageStats& simulationDD, bool completeRan,
-                  const dd::PackageStats& completeDD) {
+/// Copy a finished simulation portfolio, DD profile included, into the flow
+/// result. Checkers attach attribution only on non-cancelled exits, so a
+/// race loser (whose partial profile depends on when the cancel landed)
+/// contributes none.
+void adoptSimulation(FlowResult& result, const CheckResult& sim) {
+  result.simulations = sim.simulations;
+  result.simulationSeconds = sim.seconds;
+  result.simulationTimedOut = sim.timedOut;
+  result.numThreads = sim.numThreads;
+  result.counterexample = sim.counterexample;
+  result.simulationAttribution = sim.attribution;
+  dd::appendPackageStats(result.metrics, "simulation.dd", sim.ddStats);
+}
+
+/// The complete check's counterpart of adoptSimulation.
+void adoptComplete(FlowResult& result, const CheckResult& complete) {
+  result.completeSeconds = complete.seconds;
+  result.completeTimedOut = complete.timedOut;
+  result.completeAttribution = complete.attribution;
+  dd::appendPackageStats(result.metrics, "complete.dd", complete.ddStats);
+}
+
+/// Roll the per-stage fields of a finished FlowResult into
+/// FlowResult::metrics, next to the DD profiles the adopt* helpers already
+/// put there. Runs on every exit path, so early-out counterexamples still
+/// report their simulation cost.
+void buildMetrics(FlowResult& result) {
   obs::MetricsSnapshot& m = result.metrics;
   m.counters["simulation.runs"] = result.simulations;
   m.counters["simulation.timed_out"] = result.simulationTimedOut ? 1 : 0;
@@ -43,12 +64,6 @@ void buildMetrics(FlowResult& result, bool simulationRan,
   m.gauges["rewriting.seconds"] = result.rewritingSeconds;
   m.gauges["complete.seconds"] = result.completeSeconds;
   m.gauges["total.seconds"] = result.totalSeconds();
-  if (simulationRan) {
-    dd::appendPackageStats(m, "simulation.dd", simulationDD);
-  }
-  if (completeRan) {
-    dd::appendPackageStats(m, "complete.dd", completeDD);
-  }
   const auto appendAttribution =
       [&m](const char* prefix, const std::optional<AttributionProfile>& attr) {
         if (!attr) {
@@ -69,13 +84,9 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
                                         const ir::QuantumComputation& qc2,
                                         const obs::Context& obs) const {
   FlowResult result;
-  dd::PackageStats simulationDD;
-  dd::PackageStats completeDD;
-  bool simulationRan = false;
-  bool completeRan = false;
 
-  const std::size_t simsTotal =
-      config_.skipSimulation ? 0 : config_.simulation.maxSimulations;
+  // no stimuli means no simulation stage, in every tier
+  const std::size_t simsTotal = config_.simulation.maxSimulations;
   // Written by portfolio workers (serialized), read by the flow thread only
   // between stages — atomic so neither side races.
   std::atomic<std::size_t> simsDone{0};
@@ -90,11 +101,11 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
                                     simsTotal, toString(result.tier)});
     }
   };
-  // The simulation stage gets a copy of the configuration with a completion
-  // callback that feeds the progress stream (chaining any caller-installed
-  // callback). Installed only when someone listens, so the default path
-  // stays callback-free.
-  const auto instrumentedSimulation = [&] {
+  // The simulation stage runs on a copy of the configuration with a
+  // completion callback that feeds the progress stream (chaining any
+  // caller-installed callback). Installed only when someone listens, so the
+  // default path stays callback-free. Race mode swaps in its own cancel flag.
+  const auto runSimulation = [&](const std::atomic<bool>* raceCancel) {
     SimulationConfiguration simConfig = config_.simulation;
     if (config_.progress || simConfig.onRunCompleted) {
       const auto inner = simConfig.onRunCompleted;
@@ -110,7 +121,10 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
         }
       };
     }
-    return simConfig;
+    if (raceCancel != nullptr) {
+      simConfig.cancelFlag = raceCancel;
+    }
+    return SimulationChecker(simConfig).run(qc1, qc2, obs);
   };
 
   {
@@ -157,7 +171,6 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
       const ir::QuantumComputation* completeGPrime = &qc2;
       ir::QuantumComputation residualG;
       ir::QuantumComputation residualGPrime;
-      AlternatingConfiguration completeConfig = config_.complete;
 
       if (config_.prescreen.enabled) {
         enterStage("prescreen");
@@ -219,16 +232,14 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
         }
 
         if (result.tier == analysis::TierHint::Stabilizer &&
-            config_.prescreen.stabilizerTier && !config_.skipComplete) {
+            !config_.skipComplete) {
           enterStage("stabilizer");
           StabilizerConfiguration stabConfig;
-          // skipSimulation means "no random stimuli" in every tier; the
-          // exact conjugation check alone still decides the pair
-          stabConfig.maxSimulations =
-              config_.skipSimulation ? 0 : config_.prescreen.stabilizerStimuli;
+          if (simsTotal == 0) {
+            // the exact conjugation check alone still decides the pair
+            stabConfig.maxSimulations = 0;
+          }
           stabConfig.seed = config_.simulation.seed;
-          stabConfig.phaseProbeMaxQubits =
-              config_.prescreen.phaseProbeMaxQubits;
           // external cancellation (the batch scheduler) reaches every tier
           // through the complete check's flag
           stabConfig.cancelFlag = config_.complete.cancelFlag;
@@ -242,56 +253,94 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
           return;
         }
 
-        if (config_.prescreen.checkStrippedPair && pre.stripped() &&
-            !config_.skipComplete) {
+        if (pre.stripped() && !config_.skipComplete) {
           residualG = std::move(pre.residualG);
           residualGPrime = std::move(pre.residualGPrime);
           completeG = &residualG;
           completeGPrime = &residualGPrime;
         }
-        if (config_.prescreen.applyStrategyHint) {
-          switch (analysis::strategyHint(profile)) {
-          case analysis::StrategyHint::Naive:
-            completeConfig.strategy = Strategy::Naive;
-            break;
-          case analysis::StrategyHint::Proportional:
-            completeConfig.strategy = Strategy::Proportional;
-            break;
-          case analysis::StrategyHint::Lookahead:
-            completeConfig.strategy = Strategy::Lookahead;
-            break;
-          }
+      }
+
+      // One schedule for both modes: simulations, rewriting, complete
+      // check. Race changes only how the complete check is launched — on
+      // its own thread, concurrently with the simulations, instead of
+      // inline after them — so the simulations move behind the launch.
+      // Race degenerates to staged when either strategy is skipped: there
+      // is nothing to race against.
+      const bool race = config_.mode == FlowMode::Race && simsTotal > 0 &&
+                        !config_.skipComplete;
+      result.mode = race ? FlowMode::Race : FlowMode::Staged;
+      CheckResult sim;
+      CheckResult complete;
+
+      // The verdict of both modes: a counterexample is a proof — and since
+      // the complete check can only ever agree with it, preferring the
+      // simulation keeps the race winner deterministic even when both
+      // finish. Then a complete check that ran to the end. Otherwise the
+      // paper's third outcome: unsuspicious simulations are a strong
+      // indication of equivalence rather than "no information".
+      const auto decide = [&] {
+        if (sim.equivalence == Equivalence::NotEquivalent) {
+          result.equivalence = Equivalence::NotEquivalent;
+          result.winner = race ? RaceWinner::Simulation : RaceWinner::None;
+        } else if (!config_.skipComplete && !complete.timedOut) {
+          // a cancelled complete check reports NoInformation: a race
+          // cancels it only after a counterexample, the batch scheduler
+          // only when it abandons the pair
+          result.equivalence = complete.equivalence;
+          result.winner = race ? RaceWinner::Complete : RaceWinner::None;
+        } else {
+          result.equivalence = result.simulations > 0
+                                   ? Equivalence::ProbablyEquivalent
+                                   : Equivalence::NoInformation;
+        }
+      };
+
+      if (simsTotal > 0 && !race) {
+        enterStage("simulation");
+        sim = runSimulation(nullptr);
+        adoptSimulation(result, sim);
+        if (sim.equivalence == Equivalence::NotEquivalent) {
+          return decide();
         }
       }
 
-      // Race degenerates to the staged flow when either strategy is
-      // skipped — there is nothing to race against.
-      const bool race = config_.mode == FlowMode::Race &&
-                        !config_.skipSimulation && !config_.skipComplete;
-      result.mode = race ? FlowMode::Race : FlowMode::Staged;
-
-      if (race) {
-        if (config_.tryRewriting) {
-          // the syntactic proof attempt is cheap: run it before spinning up
-          // either expensive strategy
-          enterStage("rewriting");
-          obs::ScopedSpan span(obs.tracer, "checker.rewriting", "checker");
-          const RewritingChecker rewriting(config_.rewriting);
-          const CheckResult rewritten = rewriting.run(qc1, qc2);
-          result.rewritingSeconds = rewritten.seconds;
-          span.arg("outcome", toString(rewritten.equivalence));
-          if (provedEquivalent(rewritten.equivalence)) {
-            result.equivalence = rewritten.equivalence;
-            result.provedByRewriting = true;
-            return;
-          }
+      if (config_.tryRewriting) {
+        // the cheap syntactic proof attempt, just before the expensive
+        // complete check is launched
+        enterStage("rewriting");
+        obs::ScopedSpan span(obs.tracer, "checker.rewriting", "checker");
+        const CheckResult rewritten =
+            RewritingChecker(config_.rewriting).run(qc1, qc2);
+        result.rewritingSeconds = rewritten.seconds;
+        span.arg("outcome", toString(rewritten.equivalence));
+        if (provedEquivalent(rewritten.equivalence)) {
+          result.equivalence = rewritten.equivalence;
+          result.provedByRewriting = true;
+          return;
         }
+      }
 
+      if (config_.skipComplete) {
+        return decide();
+      }
+
+      std::atomic<bool> cancelSim{false};
+      std::atomic<bool> cancelComplete{false};
+      AlternatingConfiguration completeConfig = config_.complete;
+      if (race) {
+        completeConfig.cancelFlag = &cancelComplete;
+      }
+      const auto runComplete = [&] {
+        return AlternatingChecker(completeConfig)
+            .run(*completeG, *completeGPrime, obs);
+      };
+
+      if (!race) {
+        enterStage("complete");
+        complete = runComplete();
+      } else {
         enterStage("race");
-        std::atomic<bool> cancelSim{false};
-        std::atomic<bool> cancelComplete{false};
-        CheckResult sim;
-        CheckResult complete;
         std::exception_ptr completeError;
         {
           // the complete check runs on its own thread, the simulation
@@ -301,10 +350,7 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
               if (obs.flight != nullptr) {
                 obs.flight->labelThread("race.complete");
               }
-              AlternatingConfiguration raceConfig = completeConfig;
-              raceConfig.cancelFlag = &cancelComplete;
-              complete = AlternatingChecker(raceConfig)
-                             .run(*completeG, *completeGPrime, obs);
+              complete = runComplete();
               if (!complete.timedOut && !complete.cancelled) {
                 // conclusive either way: the simulations are moot
                 cancelSim.store(true, std::memory_order_relaxed);
@@ -315,9 +361,7 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
             }
           });
           try {
-            SimulationConfiguration simConfig = instrumentedSimulation();
-            simConfig.cancelFlag = &cancelSim;
-            sim = SimulationChecker(simConfig).run(qc1, qc2, obs);
+            sim = runSimulation(&cancelSim);
           } catch (...) {
             cancelComplete.store(true, std::memory_order_relaxed);
             throw; // completeThread joins during unwinding
@@ -329,6 +373,9 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
         if (completeError) {
           std::rethrow_exception(completeError);
         }
+        adoptSimulation(result, sim);
+        result.simulationCancelled = sim.cancelled;
+        result.completeCancelled = complete.cancelled;
         if (sim.cancelled) {
           obs.log(obs::JournalLevel::Info, "flow.race.cancelled")
               .str("loser", "simulation");
@@ -337,105 +384,9 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
           obs.log(obs::JournalLevel::Info, "flow.race.cancelled")
               .str("loser", "complete");
         }
-
-        simulationRan = true;
-        completeRan = true;
-        simulationDD = sim.ddStats;
-        completeDD = complete.ddStats;
-        result.simulations = sim.simulations;
-        result.simulationSeconds = sim.seconds;
-        result.simulationTimedOut = sim.timedOut;
-        result.simulationCancelled = sim.cancelled;
-        result.numThreads = sim.numThreads;
-        result.completeSeconds = complete.seconds;
-        result.completeTimedOut = complete.timedOut;
-        result.completeCancelled = complete.cancelled;
-        // checkers attach attribution only on non-cancelled exits, so the
-        // race loser (whose partial profile depends on when the cancel
-        // landed) contributes nothing here
-        result.simulationAttribution = sim.attribution;
-        result.completeAttribution = complete.attribution;
-
-        if (sim.equivalence == Equivalence::NotEquivalent) {
-          // A counterexample is a proof — and since the complete check can
-          // only ever agree with it, preferring the simulation here keeps
-          // the reported winner deterministic even when both finish.
-          result.equivalence = Equivalence::NotEquivalent;
-          result.counterexample = sim.counterexample;
-          result.winner = RaceWinner::Simulation;
-        } else if (!complete.timedOut && !complete.cancelled) {
-          result.equivalence = complete.equivalence;
-          result.winner = RaceWinner::Complete;
-        } else {
-          // neither strategy concluded: fall back to the staged rule
-          result.equivalence = result.simulations > 0
-                                   ? Equivalence::ProbablyEquivalent
-                                   : Equivalence::NoInformation;
-        }
-        return;
       }
-
-      if (!config_.skipSimulation) {
-        enterStage("simulation");
-        const SimulationChecker simChecker(instrumentedSimulation());
-        const CheckResult sim = simChecker.run(qc1, qc2, obs);
-        simulationRan = true;
-        simulationDD = sim.ddStats;
-        result.simulations = sim.simulations;
-        result.simulationSeconds = sim.seconds;
-        result.simulationTimedOut = sim.timedOut;
-        result.numThreads = sim.numThreads;
-        result.counterexample = sim.counterexample;
-        result.simulationAttribution = sim.attribution;
-
-        if (sim.equivalence == Equivalence::NotEquivalent) {
-          result.equivalence = Equivalence::NotEquivalent;
-          return;
-        }
-      }
-
-      if (config_.tryRewriting) {
-        enterStage("rewriting");
-        obs::ScopedSpan span(obs.tracer, "checker.rewriting", "checker");
-        const RewritingChecker rewriting(config_.rewriting);
-        const CheckResult rewritten = rewriting.run(qc1, qc2);
-        result.rewritingSeconds = rewritten.seconds;
-        span.arg("outcome", toString(rewritten.equivalence));
-        if (provedEquivalent(rewritten.equivalence)) {
-          result.equivalence = rewritten.equivalence;
-          result.provedByRewriting = true;
-          return;
-        }
-      }
-
-      if (config_.skipComplete) {
-        // Simulation found nothing: strong indication of equivalence.
-        result.equivalence = result.simulations > 0
-                                 ? Equivalence::ProbablyEquivalent
-                                 : Equivalence::NoInformation;
-        return;
-      }
-
-      enterStage("complete");
-      const AlternatingChecker completeChecker(completeConfig);
-      const CheckResult complete =
-          completeChecker.run(*completeG, *completeGPrime, obs);
-      completeRan = true;
-      completeDD = complete.ddStats;
-      result.completeSeconds = complete.seconds;
-      result.completeTimedOut = complete.timedOut;
-      result.completeAttribution = complete.attribution;
-
-      if (complete.timedOut) {
-        // The paper's third outcome: a timeout after unsuspicious
-        // simulations is a strong indication of equivalence rather than
-        // "no information".
-        result.equivalence = result.simulations > 0
-                                 ? Equivalence::ProbablyEquivalent
-                                 : Equivalence::NoInformation;
-      } else {
-        result.equivalence = complete.equivalence;
-      }
+      adoptComplete(result, complete);
+      decide();
     }();
 
     obs.flightMark("flow.verdict",
@@ -460,7 +411,7 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
     }
   }
 
-  buildMetrics(result, simulationRan, simulationDD, completeRan, completeDD);
+  buildMetrics(result);
   if (obs.metrics != nullptr) {
     obs.metrics->merge(result.metrics);
   }

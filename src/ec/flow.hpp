@@ -98,26 +98,13 @@ struct FlowProgress {
 /// prescreen, and the tier router (docs/static-analysis.md). All of it is
 /// deterministic — it looks only at the two operation streams — so routing
 /// decisions are byte-stable across thread counts by construction.
+/// Clifford-only pairs go to the stabilizer tier (StabilizerConfiguration's
+/// defaults); the complete check gets the stripped residual pair, while the
+/// simulations keep the originals so counterexample stimuli stay meaningful.
 struct PrescreenConfiguration {
   /// Run the profiler + prescreen after preflight. Off: every pair takes
-  /// the general tier untouched (the pre-PR behaviour; `--no-prescreen`).
+  /// the general tier untouched (`--no-prescreen`).
   bool enabled{true};
-  /// Dispatch Clifford-only pairs to the polynomial stabilizer tier
-  /// instead of the DD machinery. Ignored when `enabled` is false.
-  bool stabilizerTier{true};
-  /// Randomized witness runs of the stabilizer tier.
-  std::size_t stabilizerStimuli{8};
-  /// Dense-probe cap for resolving the exact global phase in the
-  /// stabilizer tier (see StabilizerConfiguration::phaseProbeMaxQubits).
-  std::size_t phaseProbeMaxQubits{12};
-  /// Feed the stripped residual pair (instead of the originals) to the
-  /// complete checker. Sound for the verdict; the simulation stage always
-  /// keeps the originals so counterexample stimuli stay meaningful.
-  bool checkStrippedPair{true};
-  /// Override AlternatingConfiguration::strategy with the profile's
-  /// strategy hint. Off by default: the hint is advisory and surfaces via
-  /// `qsimec profile`.
-  bool applyStrategyHint{false};
 };
 
 struct FlowConfiguration {
@@ -127,14 +114,14 @@ struct FlowConfiguration {
   PrescreenConfiguration prescreen{};
   /// Staged (Fig. 3 ordering, the default) or Race (concurrent strategies,
   /// first conclusive verdict wins). Race degenerates to Staged when either
-  /// strategy is skipped.
+  /// strategy is skipped; `simulation.maxSimulations == 0` skips the
+  /// simulations (and the stabilizer tier's random stimuli).
   FlowMode mode{FlowMode::Staged};
-  /// Skip the simulation stage entirely (for baseline measurements).
-  bool skipSimulation{false};
-  /// Try the (cheap, incomplete) rewriting checker between the simulation
-  /// stage and the complete check; a syntactic proof short-circuits the
-  /// expensive DD construction. Off by default — the paper's Fig. 3 flow
-  /// has no such stage.
+  /// Try the (cheap, incomplete) rewriting checker just before the complete
+  /// check is launched: after the simulations in staged mode, before the
+  /// race in race mode. A syntactic proof short-circuits the expensive DD
+  /// construction. Off by default — the paper's Fig. 3 flow has no such
+  /// stage.
   bool tryRewriting{false};
   /// Skip the complete check (simulation only; outcome is then either
   /// NotEquivalent or ProbablyEquivalent).

@@ -59,7 +59,6 @@ void applyOverride(ec::FlowConfiguration& config, const std::string& key,
                    const util::JsonValue& value, std::size_t lineNumber) {
   if (key == "sims") {
     config.simulation.maxSimulations = value.asUint();
-    config.skipSimulation = config.simulation.maxSimulations == 0;
   } else if (key == "seed") {
     config.simulation.seed = value.asUint();
   } else if (key == "timeout") {

@@ -1,5 +1,7 @@
 #include "svc/fingerprint.hpp"
 
+#include "ec/stabilizer_checker.hpp"
+
 #include <cmath>
 #include <cstdio>
 
@@ -142,15 +144,20 @@ std::uint64_t configDigest(const ec::FlowConfiguration& config) {
                                                : std::uint64_t{0});
   h.absorb(config.simulation.simulateDifferenceCircuit ? std::uint64_t{1}
                                                        : std::uint64_t{0});
-  h.absorb(config.skipSimulation ? std::uint64_t{1} : std::uint64_t{0});
+  // no stimuli skips the simulation stage; absorbed as a flag of its own so
+  // digests stay those of earlier builds, whose cache files keep hitting
+  h.absorb(config.simulation.maxSimulations == 0 ? std::uint64_t{1}
+                                                 : std::uint64_t{0});
   h.absorb(config.skipComplete ? std::uint64_t{1} : std::uint64_t{0});
   h.absorb(config.tryRewriting ? std::uint64_t{1} : std::uint64_t{0});
   h.absorb(config.validateInputs ? std::uint64_t{1} : std::uint64_t{0});
   h.absorb(config.prescreen.enabled ? std::uint64_t{1} : std::uint64_t{0});
-  h.absorb(config.prescreen.stabilizerTier ? std::uint64_t{1}
-                                           : std::uint64_t{0});
-  h.absorb(static_cast<std::uint64_t>(config.prescreen.stabilizerStimuli));
-  h.absorb(static_cast<std::uint64_t>(config.prescreen.phaseProbeMaxQubits));
+  // the stabilizer tier (always routed to) and its fixed settings,
+  // absorbed for the same reason
+  const ec::StabilizerConfiguration stabilizer;
+  h.absorb(std::uint64_t{1});
+  h.absorb(static_cast<std::uint64_t>(stabilizer.maxSimulations));
+  h.absorb(static_cast<std::uint64_t>(stabilizer.phaseProbeMaxQubits));
   return h.digest().lo;
 }
 

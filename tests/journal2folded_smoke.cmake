@@ -11,45 +11,55 @@ if(NOT rc EQUAL 0)
 endif()
 
 # --no-prescreen: ghz vs itself is decided statically otherwise, and the
-# folded output must contain the general flow's stage frames
-execute_process(
-  COMMAND ${QSIMEC_CLI} check ${WORK_DIR}/g.qasm ${WORK_DIR}/g.qasm
-          --timeout 60 --no-prescreen --journal ${WORK_DIR}/run.jsonl
-  RESULT_VARIABLE rc OUTPUT_QUIET)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "check failed (${rc})")
-endif()
+# folded output must contain the general flow's stage frames. Two runs: the
+# default thread count, and four portfolio workers whose concurrent GC
+# pauses must not swallow the stage's self time on any machine.
+foreach(threads 0 4)
+  set(journal ${WORK_DIR}/run-t${threads}.jsonl)
+  execute_process(
+    COMMAND ${QSIMEC_CLI} check ${WORK_DIR}/g.qasm ${WORK_DIR}/g.qasm
+            --timeout 60 --no-prescreen --threads ${threads}
+            --journal ${journal}
+    RESULT_VARIABLE rc OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "check --threads ${threads} failed (${rc})")
+  endif()
 
-execute_process(
-  COMMAND ${PYTHON3} ${FOLD_SCRIPT} ${WORK_DIR}/run.jsonl
-  RESULT_VARIABLE rc OUTPUT_VARIABLE folded ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "journal2folded failed (${rc}): ${err}")
-endif()
+  execute_process(
+    COMMAND ${PYTHON3} ${FOLD_SCRIPT} ${journal}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE folded ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "journal2folded failed (${rc}): ${err}")
+  endif()
 
-foreach(frame "flow;simulation" "flow;complete")
-  if(NOT folded MATCHES "${frame} [0-9]+")
-    message(FATAL_ERROR "missing frame '${frame}' in folded output:\n${folded}")
+  foreach(frame "flow;simulation" "flow;complete")
+    if(NOT folded MATCHES "${frame} [0-9]+")
+      message(FATAL_ERROR "--threads ${threads}: missing frame '${frame}' in "
+                          "folded output:\n${folded}")
+    endif()
+  endforeach()
+
+  # attribution ran (general tier, DD checkers): its gate-level frames form
+  # a second tree under the attr root
+  if(NOT folded MATCHES
+     "attr;(simulation|alternating);(left|right):g[0-9]+ [0-9]+")
+    message(FATAL_ERROR "--threads ${threads}: missing attr;* gate frames in "
+                        "folded output:\n${folded}")
+  endif()
+
+  # folded counts are integer microseconds: every line is "stack count"
+  # (cannot split into a CMake list here — the stack frames themselves
+  # contain semicolons)
+  if(NOT folded MATCHES "^([^ \n]+ [0-9]+\n)+$")
+    message(FATAL_ERROR "--threads ${threads}: malformed folded output:\n"
+                        "${folded}")
   endif()
 endforeach()
-
-# attribution ran (general tier, DD checkers): its gate-level frames form a
-# second tree under the attr root
-if(NOT folded MATCHES "attr;(simulation|alternating);(left|right):g[0-9]+ [0-9]+")
-  message(FATAL_ERROR "missing attr;* gate frames in folded output:\n${folded}")
-endif()
-
-# folded counts are integer microseconds: every line is "stack count"
-# (cannot split into a CMake list here — the stack frames themselves
-# contain semicolons)
-if(NOT folded MATCHES "^([^ \n]+ [0-9]+\n)+$")
-  message(FATAL_ERROR "malformed folded output:\n${folded}")
-endif()
 
 # --format speedscope: a well-formed speedscope JSON profile whose samples
 # and weights line up and whose frame indices are in range
 execute_process(
-  COMMAND ${PYTHON3} ${FOLD_SCRIPT} ${WORK_DIR}/run.jsonl
+  COMMAND ${PYTHON3} ${FOLD_SCRIPT} ${WORK_DIR}/run-t0.jsonl
           --format speedscope -o ${WORK_DIR}/run.speedscope.json
   RESULT_VARIABLE rc ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 
 using namespace qsimec;
 
@@ -28,6 +29,10 @@ struct Family {
   const char* name;
   std::function<ir::QuantumComputation()> make;
 };
+
+// gtest prints the parameter into the test's listed name; its default byte
+// dump would show the pointers above, which change with every run.
+void PrintTo(const Family& family, std::ostream* os) { *os << family.name; }
 
 void expectMatchesDense(const ir::QuantumComputation& qc, double eps = 1e-9) {
   ASSERT_LE(qc.qubits(), 10U) << "keep cross-validation cases small";

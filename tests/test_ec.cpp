@@ -461,7 +461,7 @@ TEST(Flow, TimeoutYieldsProbablyEquivalent) {
 
 TEST(Flow, SkipSimulationRunsCompleteOnly) {
   ec::FlowConfiguration config;
-  config.skipSimulation = true;
+  config.simulation.maxSimulations = 0;
   config.prescreen.enabled = false; // exercise the general DD path
   const ec::EquivalenceCheckingFlow flow(config);
   const auto result = flow.run(paperCircuitG(), paperCircuitGPrime());
@@ -471,10 +471,10 @@ TEST(Flow, SkipSimulationRunsCompleteOnly) {
 
 TEST(Flow, SkipSimulationAlsoSuppressesStabilizerStimuli) {
   // With the prescreen on, a Clifford-only pair routes to the stabilizer
-  // tier — whose randomized runs also honour skipSimulation; the exact
-  // conjugation check alone decides the pair.
+  // tier — whose randomized runs are skipped along with the simulations;
+  // the exact conjugation check alone decides the pair.
   ec::FlowConfiguration config;
-  config.skipSimulation = true;
+  config.simulation.maxSimulations = 0;
   const ec::EquivalenceCheckingFlow flow(config);
   const auto result = flow.run(paperCircuitG(), paperCircuitGPrime());
   EXPECT_TRUE(ec::provedEquivalent(result.equivalence));

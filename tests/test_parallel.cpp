@@ -13,13 +13,17 @@
 #include "ec/serialize.hpp"
 #include "ec/simulation_checker.hpp"
 #include "gen/grover.hpp"
+#include "gen/qft.hpp"
 #include "gen/random_circuits.hpp"
 #include "gen/revlib_like.hpp"
 #include "obs/context.hpp"
+#include "obs/journal.hpp"
 #include "sim/dd_simulator.hpp"
 #include "transform/decomposition.hpp"
 #include "transform/error_injector.hpp"
+#include "transform/mapper.hpp"
 #include "util/deadline.hpp"
+#include "util/json_parse.hpp"
 
 #include <gtest/gtest.h>
 
@@ -362,4 +366,79 @@ TEST(Flow, RaceStressCancelsTheCompleteCheck) {
   // every jthread (race loser + pool workers) must have been joined
   EXPECT_EQ(processThreadCount(), threadsBefore);
 #endif
+}
+
+TEST(Flow, StageSequenceIsOneScheduleForBothModes) {
+  // Race changes only how the complete check is launched; the rewriting
+  // attempt runs just before that launch in either mode — after the
+  // simulations when staged, ahead of the race (and so of the simulations
+  // inside it) when racing.
+  const auto stagesOf = [](const obs::Journal& journal) {
+    std::vector<std::string> stages;
+    for (const std::string& line : journal.lines()) {
+      const util::JsonValue v = util::parseJson(line);
+      if (v.at("event").asString() == "flow.stage") {
+        stages.push_back(v.at("stage").asString());
+      }
+    }
+    return stages;
+  };
+
+  // equivalent, general tier, and out of the rewriting checker's reach
+  const auto qft = gen::qft(4);
+  const auto mapped = tf::mapCircuit(qft, tf::CouplingMap::linear(4));
+  // broken: the simulation reliably wins the race (see
+  // RaceStressCancelsTheCompleteCheck)
+  const auto hwb = gen::hwbCircuit(6);
+  const auto decomposed = tf::decompose(hwb);
+  const auto padded = tf::padQubits(hwb, decomposed.qubits());
+  tf::ErrorInjector injector(13);
+  const auto broken = injector.injectRandom(decomposed);
+
+  struct Case {
+    ec::FlowMode mode;
+    const ir::QuantumComputation* g;
+    const ir::QuantumComputation* gPrime;
+    std::vector<std::string> stages;
+    ec::RaceWinner winner;
+  };
+  const std::vector<Case> cases = {
+      {ec::FlowMode::Staged, &qft, &mapped.circuit,
+       {"preflight", "prescreen", "simulation", "rewriting", "complete"},
+       ec::RaceWinner::None},
+      {ec::FlowMode::Race, &qft, &mapped.circuit,
+       {"preflight", "prescreen", "rewriting", "race"},
+       ec::RaceWinner::Complete},
+      {ec::FlowMode::Staged, &padded, &broken.circuit,
+       {"preflight", "prescreen", "simulation"}, ec::RaceWinner::None},
+      {ec::FlowMode::Race, &padded, &broken.circuit,
+       {"preflight", "prescreen", "rewriting", "race"},
+       ec::RaceWinner::Simulation},
+  };
+  for (const Case& c : cases) {
+    ec::FlowConfiguration config;
+    config.mode = c.mode;
+    config.tryRewriting = true;
+    config.simulation.seed = 29;
+    config.simulation.numThreads = 2;
+    config.complete.timeoutSeconds = 120.0;
+    obs::Journal journal;
+    obs::Context context;
+    context.journal = &journal;
+    const auto result =
+        ec::EquivalenceCheckingFlow(config).run(*c.g, *c.gPrime, context);
+    const bool equivalent = c.g == &qft;
+    EXPECT_EQ(stagesOf(journal), c.stages)
+        << toString(c.mode) << " equivalent=" << equivalent;
+    EXPECT_EQ(result.mode, c.mode);
+    EXPECT_EQ(result.winner, c.winner) << toString(c.mode);
+    EXPECT_EQ(result.tier, analysis::TierHint::General);
+    EXPECT_FALSE(result.provedByRewriting);
+    if (equivalent) {
+      EXPECT_TRUE(provedEquivalent(result.equivalence));
+    } else {
+      EXPECT_EQ(result.equivalence, Equivalence::NotEquivalent);
+      EXPECT_TRUE(result.counterexample.has_value());
+    }
+  }
 }

@@ -470,24 +470,34 @@ TEST(TierRouting, ProfiledFlowAgreesWithUnprofiledFlowEverywhere) {
     pairs.push_back({g, std::move(injected.circuit)});
   }
 
+  // the flow mode and the rewriting attempt only reschedule the same
+  // strategies, so they join the matrix
   const ec::SerializeOptions verdictOnly{.verdictOnly = true};
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     std::string reference;
     for (const bool prescreen : {false, true}) {
       for (const unsigned threads : {1U, 4U}) {
-        ec::FlowConfiguration config;
-        config.simulation.seed = 31;
-        config.simulation.numThreads = threads;
-        config.prescreen.enabled = prescreen;
-        const ec::EquivalenceCheckingFlow flow(config);
-        const std::string json =
-            toJson(flow.run(pairs[i].g, pairs[i].gPrime), verdictOnly);
-        if (reference.empty()) {
-          reference = json;
-        } else {
-          EXPECT_EQ(json, reference)
-              << "pair " << i << " prescreen=" << prescreen << " threads="
-              << threads;
+        for (const ec::FlowMode mode :
+             {ec::FlowMode::Staged, ec::FlowMode::Race}) {
+          for (const bool rewriting : {false, true}) {
+            ec::FlowConfiguration config;
+            config.simulation.seed = 31;
+            config.simulation.numThreads = threads;
+            config.prescreen.enabled = prescreen;
+            config.mode = mode;
+            config.tryRewriting = rewriting;
+            const ec::EquivalenceCheckingFlow flow(config);
+            const std::string json =
+                toJson(flow.run(pairs[i].g, pairs[i].gPrime), verdictOnly);
+            if (reference.empty()) {
+              reference = json;
+            } else {
+              EXPECT_EQ(json, reference)
+                  << "pair " << i << " prescreen=" << prescreen
+                  << " threads=" << threads << " mode=" << toString(mode)
+                  << " rewriting=" << rewriting;
+            }
+          }
         }
       }
     }

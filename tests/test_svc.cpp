@@ -122,6 +122,40 @@ TEST(Fingerprint, ConfigDigestCoversVerdictRelevantFieldsOnly) {
   EXPECT_EQ(digest, svc::configDigest(otherTimeout));
 }
 
+TEST(Fingerprint, ConfigDigestGoldenValues) {
+  // Cache files (qsimec-cache-v2) written by earlier builds must keep
+  // hitting, so the digests of the library default and of the
+  // configurations `qsimec check`'s flags produce are pinned.
+  const auto cli = [] {
+    ec::FlowConfiguration config; // parseFlowFlags' defaults
+    config.simulation.maxSimulations = 10;
+    config.simulation.seed = 42;
+    config.simulation.ignoreGlobalPhase = true;
+    config.complete.timeoutSeconds = 60.0;
+    return config;
+  };
+  ec::FlowConfiguration noSims = cli(); // --sims 0
+  noSims.simulation.maxSimulations = 0;
+  ec::FlowConfiguration simOnly = cli(); // --sim-only
+  simOnly.skipComplete = true;
+  ec::FlowConfiguration rewriting = cli(); // --rewriting
+  rewriting.tryRewriting = true;
+  ec::FlowConfiguration race = cli(); // --race
+  race.mode = ec::FlowMode::Race;
+  ec::FlowConfiguration noPrescreen = cli(); // --no-prescreen
+  noPrescreen.prescreen.enabled = false;
+
+  EXPECT_EQ(svc::configDigest(ec::FlowConfiguration{}),
+            0x65ada406815c3375ULL);
+  EXPECT_EQ(svc::configDigest(cli()), 0xb51f749692d107e1ULL);
+  EXPECT_EQ(svc::configDigest(noSims), 0x806fd1b05f067698ULL);
+  EXPECT_EQ(svc::configDigest(simOnly), 0xcd2f11e873bc2a92ULL);
+  EXPECT_EQ(svc::configDigest(rewriting), 0x1c61c5ac58351ee0ULL);
+  // the mode changes how a verdict is reached, never which one
+  EXPECT_EQ(svc::configDigest(race), 0xb51f749692d107e1ULL);
+  EXPECT_EQ(svc::configDigest(noPrescreen), 0xee69560a0282994cULL);
+}
+
 // --------------------------------------------------------------- VerdictCache
 
 svc::PairKey keyFor(std::uint64_t a, std::uint64_t b,

@@ -226,19 +226,21 @@ TEST(CouplingMapTest, ShortestPath) {
   EXPECT_EQ(path.back(), 4);
 }
 
+// std::string rather than const char*: gtest prints the parameter into the
+// test's listed name, and a printed pointer would change with every run.
 class MapperArchTest
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, int>> {};
 
 TEST_P(MapperArchTest, MappedCircuitIsEquivalent) {
   const auto [arch, nq] = GetParam();
   const auto coupling = [&]() -> tf::CouplingMap {
-    if (std::string(arch) == "linear") {
+    if (arch == "linear") {
       return tf::CouplingMap::linear(static_cast<std::size_t>(nq));
     }
-    if (std::string(arch) == "ring") {
+    if (arch == "ring") {
       return tf::CouplingMap::ring(static_cast<std::size_t>(nq));
     }
-    if (std::string(arch) == "grid") {
+    if (arch == "grid") {
       return tf::CouplingMap::grid(2, static_cast<std::size_t>(nq) / 2);
     }
     return tf::CouplingMap::star(static_cast<std::size_t>(nq));
@@ -262,11 +264,12 @@ TEST_P(MapperArchTest, MappedCircuitIsEquivalent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Architectures, MapperArchTest,
-    ::testing::Values(std::make_pair("linear", 5), std::make_pair("ring", 6),
-                      std::make_pair("grid", 6), std::make_pair("star", 5)),
+    ::testing::Values(MapperArchTest::ParamType{"linear", 5},
+                      MapperArchTest::ParamType{"ring", 6},
+                      MapperArchTest::ParamType{"grid", 6},
+                      MapperArchTest::ParamType{"star", 5}),
     [](const auto& info) {
-      return std::string(info.param.first) +
-             std::to_string(info.param.second);
+      return info.param.first + std::to_string(info.param.second);
     });
 
 TEST(CouplingMapTest, DirectedMapsTrackDirections) {

@@ -9,13 +9,17 @@ microseconds as the count, so frame widths are proportional to wall time.
 Frames emitted:
 
     flow;<stage>                    stage self-time (interval between two
-                                    flow.stage markers, minus children)
-    flow;<stage>;dd.gc              DD garbage-collection pauses inside the
-                                    stage (the journal's dd.gc events carry
-                                    the measured pause_seconds)
+                                    flow.stage markers, minus the wall-clock
+                                    time its children cover)
+    flow;<stage>;dd.gc              wall-clock time covered by DD garbage-
+                                    collection pauses inside the stage (the
+                                    journal's dd.gc events carry the
+                                    measured pause_seconds; pauses that
+                                    portfolio workers take concurrently
+                                    count once)
     flow;simulation;sim.stimulus    stimulus-run time: deltas between
                                     consecutive sim.stimulus completions,
-                                    minus the GC pauses inside them
+                                    minus the GC time inside them
     attr;<checker>;<side>:g<N>      per-gate cost attribution (attr.hotspot
                                     events), weighted by the measured
                                     per-gate wall nanos
@@ -30,7 +34,9 @@ Stage attribution is approximate by design: the journal records completion
 events, not begin/end pairs, so a stimulus delta includes whatever else the
 worker did in that window. For single-threaded runs (--threads 1) the
 approximation is exact up to journal-write overhead; for portfolio runs the
-per-stimulus deltas overlap and only the stage totals are meaningful.
+stimulus deltas interleave the workers' runs, so only the stage totals are
+meaningful. Every flow;* frame is wall-clock time, so a stage's frames add
+up to its wall span at any thread count.
 
 Usage:
     tools/journal2folded.py run.jsonl > run.folded
@@ -68,6 +74,22 @@ def read_events(path: str) -> list[dict]:
     return events
 
 
+def merge_intervals(intervals: list[tuple[float, float]]) -> list[list[float]]:
+    """Union of (begin, end) intervals as a sorted list of disjoint ones."""
+    merged: list[list[float]] = []
+    for begin, end in sorted(intervals):
+        if merged and begin <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([begin, end])
+    return merged
+
+
+def covered(merged: list[list[float]], lo: float, hi: float) -> float:
+    """Wall-clock microseconds of [lo, hi] that the merged intervals cover."""
+    return sum(max(0.0, min(end, hi) - max(begin, lo)) for begin, end in merged)
+
+
 def fold(events: list[dict]) -> dict[str, float]:
     """Aggregate events into {stack: microseconds}."""
     # Stage intervals: each flow.stage marker opens a stage that the next
@@ -88,53 +110,37 @@ def fold(events: list[dict]) -> dict[str, float]:
         end = markers[i + 1]["ts_micros"] if i + 1 < len(markers) else end_ts
         intervals.append((str(marker.get("stage", "?")), begin, end))
 
-    def stage_at(ts: float) -> str | None:
-        for stage, begin, end in intervals:
-            if begin <= ts <= end:
-                return stage
-        return None
+    # GC pauses: a dd.gc event is journaled as its pause ends, so it covers
+    # [ts - pause, ts]. Portfolio workers pause concurrently; the union
+    # counts every wall-clock microsecond once.
+    gc = merge_intervals([
+        (e["ts_micros"] - float(e.get("pause_seconds", 0.0)) * 1e6,
+         e["ts_micros"]) for e in events if e.get("event") == "dd.gc"])
+    stimulus_ts = [e["ts_micros"] for e in events
+                   if e.get("event") in ("sim.stimulus",
+                                         "sim.stimulus.cancelled")]
 
     folded: dict[str, float] = defaultdict(float)
-    children: dict[str, float] = defaultdict(float)  # per-stage child time
-
-    # GC pauses: measured durations, attributed to the enclosing stage.
-    gc_by_stage: dict[str, list[tuple[float, float]]] = defaultdict(list)
-    for event in events:
-        if event.get("event") != "dd.gc":
-            continue
-        stage = stage_at(event["ts_micros"])
-        if stage is None:
-            continue
-        pause_us = float(event.get("pause_seconds", 0.0)) * 1e6
-        folded[f"flow;{stage};dd.gc"] += pause_us
-        children[stage] += pause_us
-        gc_by_stage[stage].append((event["ts_micros"], pause_us))
-
-    # Stimulus runs: completion deltas inside the simulation stage, minus
-    # the GC pauses that fell into the same window (they are already their
-    # own frame).
-    sim_intervals = [iv for iv in intervals if iv[0] == "simulation"]
-    for _, begin, end in sim_intervals:
-        prev = begin
-        for event in events:
-            if event.get("event") not in ("sim.stimulus",
-                                          "sim.stimulus.cancelled"):
-                continue
-            ts = event["ts_micros"]
-            if not begin <= ts <= end:
-                continue
-            delta = ts - prev
-            gc_inside = sum(pause for gc_ts, pause in gc_by_stage["simulation"]
-                            if prev < gc_ts <= ts)
-            folded["flow;simulation;sim.stimulus"] += max(
-                0.0, delta - gc_inside)
-            children["simulation"] += max(0.0, delta - gc_inside)
-            prev = ts
-
     for stage, begin, end in intervals:
-        self_time = max(0.0, (end - begin) - children[stage])
-        children[stage] = 0.0  # consumed; repeated stages start fresh
-        folded[f"flow;{stage}"] += self_time
+        folded[f"flow;{stage};dd.gc"] += covered(gc, begin, end)
+        # Stimulus runs: windows between consecutive completions inside the
+        # simulation stage, minus the GC time inside them (already its own
+        # frame).
+        windows = []
+        if stage == "simulation":
+            prev = begin
+            for ts in stimulus_ts:
+                if begin <= ts <= end:
+                    windows.append((prev, ts))
+                    prev = ts
+        for prev, ts in windows:
+            folded["flow;simulation;sim.stimulus"] += (
+                (ts - prev) - covered(gc, prev, ts))
+        # self time: the stage's wall span minus the wall-clock time its
+        # children cover
+        children = merge_intervals([(b, e) for b, e in gc] + windows)
+        folded[f"flow;{stage}"] += max(
+            0.0, (end - begin) - covered(children, begin, end))
 
     fold_attribution(events, folded)
     return folded
